@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from .errors import ConfigError, NumericsError
 from .kalman import AugmentedBelief, backward_smooth, filter_step, forward_filter
-from .preprocess import WhiteningTransform, apply_whitening
+from .preprocess import WhiteningTransform, apply_whitening, require_finite
 from .statespace import AugmentedParams, ModelParams, augment
 
 VERDICT_NORMAL = "normal"
@@ -44,15 +44,19 @@ class DynamicsCovariance:
         if np.max(np.abs(D - D.T)) > 1e-10 * max(1.0, float(np.max(np.abs(D)))):
             raise ConfigError("D must be symmetric")
         object.__setattr__(self, "D", D)
-        try:
-            chol = scipy.linalg.cho_factor(D, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericsError(f"D is not positive definite: {exc}") from exc
+        chol, info = scipy.linalg.lapack.dpotrf(D, lower=1, clean=1)
+        if info != 0:
+            raise NumericsError(f"D is not positive definite (potrf info {info})")
         object.__setattr__(self, "_chol", chol)
 
     def mahalanobis(self, delta: np.ndarray) -> float:
         delta = np.asarray(delta, dtype=float)
-        return float(delta @ scipy.linalg.cho_solve(self._chol, delta))
+        return float(delta @ scipy.linalg.lapack.dpotrs(self._chol, delta, lower=1)[0])
+
+    def mahalanobis_rows(self, deltas: np.ndarray) -> np.ndarray:
+        """Squared Mahalanobis norms of the rows of an (n, d) array."""
+        solved = scipy.linalg.lapack.dpotrs(self._chol, deltas.T, lower=1)[0]
+        return np.einsum("ij,ij->j", deltas.T, solved)
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,10 @@ class ControlLimits:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
+        for name in ("t2", "spe", "di"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} limit must be finite and positive, got {value}")
 
 
 def t2_statistic(t_s: np.ndarray) -> float:
@@ -99,11 +107,13 @@ def estimate_D(moments) -> DynamicsCovariance:
     if T < 2:
         raise ConfigError("need at least two smoothed steps to estimate D")
     d = moments.mean.shape[1]
-    acc = np.zeros((d, d))
-    for k in range(1, T):
-        cross = moments.lag1[k - 1]
-        acc += moments.second_moment(k) - cross - cross.T + moments.second_moment(k - 1)
-    D = acc / (T - 1)
+    mean, cov = moments.mean, moments.cov
+    # Every step k enters twice, as the current and as the previous state,
+    # except the first (previous only) and the last (current only).
+    second = 2.0 * (cov.sum(axis=0) + mean.T @ mean)
+    second -= moments.second_moment(0) + moments.second_moment(T - 1)
+    cross = moments.lag1.sum(axis=0)
+    D = (second - cross - cross.T) / (T - 1)
     D = 0.5 * (D + D.T)
     eigvals = np.linalg.eigvalsh(D)
     if eigvals[0] < _MIN_EIGENVALUE:
@@ -272,6 +282,8 @@ class MonitorSession:
         self._stream = StatisticsStream(augment(params), params.Sigma, dynamics)
 
     def score(self, X_raw: np.ndarray) -> MonitorReport:
+        """Score the next (rows, m) block of raw measurements. A non-finite
+        cell raises DataError naming its row and column."""
         X_raw = np.asarray(X_raw, dtype=float)
         if X_raw.ndim != 2:
             raise ConfigError(f"X must be 2-D, got ndim {X_raw.ndim}")
@@ -279,6 +291,7 @@ class MonitorSession:
             raise ConfigError(
                 f"data has {X_raw.shape[1]} columns, model expects {self._params.m}"
             )
+        require_finite(X_raw)
         n = X_raw.shape[0]
         start = self._stream.samples_seen
         X_w = apply_whitening(self._whitening, X_raw)
@@ -323,27 +336,26 @@ def calibrate(
     """Estimate D and the three control limits from whitened training data.
 
     D comes from the smoothed training moments; the statistic series come
-    from replaying the training data through the online filter, so the
-    limits match online scoring conditions. The first sample's DI is
-    excluded from calibration (it has no first difference).
+    from one filter pass over every training row from row 0, as online
+    scoring filters a stream, so the limits match online scoring
+    conditions. The T2 and SPE series keep the first s rows, which scoring
+    marks as burn-in; the first sample's DI is excluded (it has no first
+    difference).
     """
     X_train = np.asarray(X_train, dtype=float)
     aug = augment(params)
-    moments = backward_smooth(aug, forward_filter(aug, params.Sigma, X_train))
-    dynamics = estimate_D(moments)
+    filtered = forward_filter(aug, params.Sigma, X_train)
+    dynamics = estimate_D(backward_smooth(aug, filtered))
 
-    stream = StatisticsStream(aug, params.Sigma, dynamics)
-    n = X_train.shape[0]
-    t2 = np.empty(n)
-    spe = np.empty(n)
-    di = np.empty(n)
-    for i in range(n):
-        t2[i], spe[i], di[i] = stream.step(X_train[i])
+    online = filtered if aug.s == 1 else forward_filter(aug, params.Sigma, X_train, start=0)
+    t2 = np.einsum("ij,ij->i", online.mu, online.mu)
+    spe = np.einsum("ij,ij->i", online.innovation, online.innovation)
+    di = dynamics.mahalanobis_rows(np.diff(online.mu, axis=0))
 
     psi_t2, bw_t2 = kde_limit(t2, alpha)
     psi_spe, bw_spe = kde_limit(spe, alpha)
-    psi_di, bw_di = kde_limit(di[1:], alpha)
-    for name, psi, series in (("T2", psi_t2, t2), ("SPE", psi_spe, spe), ("DI", psi_di, di[1:])):
+    psi_di, bw_di = kde_limit(di, alpha)
+    for name, psi, series in (("T2", psi_t2, t2), ("SPE", psi_spe, spe), ("DI", psi_di, di)):
         if psi <= float(np.median(series)):
             raise NumericsError(f"{name} control limit fell below the training median")
     limits = ControlLimits(

@@ -94,38 +94,64 @@ def save_model(model: TrainedModel, path) -> None:
         fh.write("\n")
 
 
+def _field(doc: dict, path, shape: tuple[int, ...], *keys: str) -> np.ndarray:
+    """The finite float array of the given shape at the nested field
+    ``keys`` of a model document."""
+    value = doc
+    for key in keys:
+        value = value[key]
+    name = ".".join(keys)
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != shape:
+        raise ConfigError(
+            f"model file {path}: field {name} has shape {arr.shape}, expected {shape}"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"model file {path}: field {name} has non-finite entries")
+    return arr
+
+
 def load_model(path) -> TrainedModel:
-    """Read a model bundle written by :func:`save_model`."""
+    """Read a model bundle written by :func:`save_model`.
+
+    Every number except the informational KDE bandwidths must be finite,
+    the declared m, r and s must match the array shapes, and the limits must
+    be positive; anything else raises ConfigError.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read model file {path}: {exc}") from exc
-    if doc.get("format") != FORMAT_NAME:
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ConfigError(f"{path} is not a {FORMAT_NAME} file")
     if doc.get("version") != FORMAT_VERSION:
         raise ConfigError(f"unsupported model file version {doc.get('version')}")
     try:
+        m, r, s = (doc[key] for key in ("m", "r", "s"))
+        if not all(type(v) is int and v >= 1 for v in (m, r, s)):
+            raise ConfigError(f"model file {path}: m, r and s must be positive integers")
         params = ModelParams(
-            B=np.asarray(doc["transition"], dtype=float),
-            H=np.asarray(doc["emission"], dtype=float),
-            Gamma=np.asarray(doc["latent_noise_var"], dtype=float),
-            Sigma=np.asarray(doc["measurement_noise_var"], dtype=float),
+            B=_field(doc, path, (s, r), "transition"),
+            H=_field(doc, path, (m, r), "emission"),
+            Gamma=_field(doc, path, (r,), "latent_noise_var"),
+            Sigma=_field(doc, path, (m,), "measurement_noise_var"),
         )
         whitening = WhiteningTransform(
-            mean=np.asarray(doc["whitening"]["mean"], dtype=float),
-            eigvecs=np.asarray(doc["whitening"]["eigvecs"], dtype=float),
-            singvals=np.asarray(doc["whitening"]["singvals"], dtype=float),
+            mean=_field(doc, path, (m,), "whitening", "mean"),
+            eigvecs=_field(doc, path, (m, m), "whitening", "eigvecs"),
+            singvals=_field(doc, path, (m,), "whitening", "singvals"),
         )
-        dynamics = DynamicsCovariance(D=np.asarray(doc["dynamics_covariance"], dtype=float))
-        lim = doc["limits"]
+        dynamics = DynamicsCovariance(D=_field(doc, path, (r * s, r * s), "dynamics_covariance"))
         limits = ControlLimits(
-            t2=float(lim["t2"]),
-            spe=float(lim["spe"]),
-            di=float(lim["di"]),
-            alpha=float(lim["alpha"]),
-            bandwidths=tuple(float(b) for b in lim["bandwidths"]),
+            t2=float(_field(doc, path, (), "limits", "t2")),
+            spe=float(_field(doc, path, (), "limits", "spe")),
+            di=float(_field(doc, path, (), "limits", "di")),
+            alpha=float(_field(doc, path, (), "limits", "alpha")),
+            bandwidths=tuple(float(b) for b in doc["limits"]["bandwidths"]),
         )
     except KeyError as exc:
         raise ConfigError(f"model file {path} is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"model file {path} has a malformed field: {exc}") from exc
     return TrainedModel(params=params, whitening=whitening, dynamics=dynamics, limits=limits)

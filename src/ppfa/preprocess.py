@@ -16,6 +16,8 @@ from .errors import ConfigError, DataError, NumericsError
 
 # Eigenvalues below RANK_RTOL * largest are treated as rank deficiency.
 RANK_RTOL = 1e-10
+# Rows whitened per block by apply_whitening.
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -37,6 +39,26 @@ class WhiteningTransform:
     eigvecs: np.ndarray
     singvals: np.ndarray
 
+    def __post_init__(self):
+        mean, eigvecs, singvals = (
+            np.asarray(a, dtype=float) for a in (self.mean, self.eigvecs, self.singvals)
+        )
+        m = mean.shape[0] if mean.ndim == 1 else -1
+        if eigvecs.shape != (m, m) or singvals.shape != (m,):
+            raise ConfigError(
+                f"whitening arrays have shapes {mean.shape}, {eigvecs.shape} and "
+                f"{singvals.shape}; expected (m,), (m, m) and (m,)"
+            )
+        if not all(np.all(np.isfinite(a)) for a in (mean, eigvecs, singvals)):
+            raise ConfigError("whitening arrays must be finite")
+        if not np.all(singvals > 0):
+            raise ConfigError("whitening singvals must be positive")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "eigvecs", eigvecs)
+        object.__setattr__(self, "singvals", singvals)
+        # Column k of the rotation is eigenvector k scaled to unit variance.
+        object.__setattr__(self, "_rotation", self.eigvecs * (1.0 / np.sqrt(self.singvals)))
+
     @property
     def n_channels(self) -> int:
         return self.mean.shape[0]
@@ -46,6 +68,14 @@ class WhiteningTransform:
         """Transform that leaves data unchanged (useful for tests and data
         that is already white)."""
         return cls(mean=np.zeros(m), eigvecs=np.eye(m), singvals=np.ones(m))
+
+
+def require_finite(data: np.ndarray) -> None:
+    """Raise DataError naming the first non-finite cell of a 2-D array."""
+    finite = np.isfinite(data)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise DataError(f"non-finite value at row {row}, column {col}")
 
 
 def fit_whitening(data: np.ndarray) -> WhiteningTransform:
@@ -61,9 +91,7 @@ def fit_whitening(data: np.ndarray) -> WhiteningTransform:
     rows, m = data.shape
     if rows < 2:
         raise DataError(f"need at least 2 rows to fit a whitening transform, got {rows}")
-    if not np.all(np.isfinite(data)):
-        bad = np.argwhere(~np.isfinite(data))[0]
-        raise DataError(f"non-finite value at row {bad[0]}, column {bad[1]}")
+    require_finite(data)
 
     mean = data.mean(axis=0)
     centered = data - mean
@@ -86,13 +114,26 @@ def fit_whitening(data: np.ndarray) -> WhiteningTransform:
 
 
 def apply_whitening(transform: WhiteningTransform, x: np.ndarray) -> np.ndarray:
-    """Whiten a sample vector or a (rows, m) matrix of samples."""
+    """Whiten a sample vector or a (rows, m) matrix of samples.
+
+    Each output row is sum_j (x_j - mean_j) R[j], with R the eigenvectors
+    scaled to unit variance, accumulated channel by channel from elementwise
+    products. A matrix product would round differently depending on the
+    number of rows; this way a row whitens to the same bits alone or in a
+    block.
+    """
     x = np.asarray(x, dtype=float)
     m = transform.n_channels
     if x.shape[-1] != m:
         raise ConfigError(f"sample has {x.shape[-1]} channels, transform expects {m}")
-    scale = 1.0 / np.sqrt(transform.singvals)
-    return ((x - transform.mean) @ transform.eigvecs) * scale
+    centered = (x - transform.mean).reshape(-1, m)
+    out = np.empty_like(centered)
+    # Row blocks bound the (rows, m, m) product array.
+    for lo in range(0, centered.shape[0], _BLOCK_ROWS):
+        block = centered[lo:lo + _BLOCK_ROWS]
+        np.add.reduce(block[:, :, None] * transform._rotation, axis=1,
+                      out=out[lo:lo + _BLOCK_ROWS])
+    return out.reshape(x.shape)
 
 
 def invert_whitening(transform: WhiteningTransform, z: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigError, NumericsError, PpfaError
 from .genetic import BetaObjective, GaConfig, minimize
 from .kalman import SmoothedMoments, backward_smooth, forward_filter, log_likelihood_filter
+from .preprocess import require_finite
 from .statespace import (
     ModelParams,
     augment,
@@ -249,13 +250,15 @@ def update_beta(
 def fit(X: np.ndarray, cfg: EmConfig) -> tuple[ModelParams, TrainingTrace]:
     """Run EM to convergence and return the best-likelihood iterate.
 
-    X must already be whitened. Convergence is declared when the relative
-    change of the observed-data log-likelihood drops below
+    X must already be whitened and finite; a non-finite cell raises
+    DataError naming its row and column. Convergence is declared when the
+    relative change of the observed-data log-likelihood drops below
     ``cfg.loglik_rel_tol`` or after ``cfg.max_iterations`` iterations.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ConfigError(f"X must be 2-D, got ndim {X.ndim}")
+    require_finite(X)
     if X.shape[0] <= 10 * cfg.s:
         raise ConfigError(
             f"need more than {10 * cfg.s} rows to fit with lag order s={cfg.s}, "
@@ -263,8 +266,12 @@ def fit(X: np.ndarray, cfg: EmConfig) -> tuple[ModelParams, TrainingTrace]:
         )
 
     params = init_params(X, cfg)
+    # Each iterate's filter pass gives its log-likelihood and feeds the next
+    # E-step, so every parameter set is filtered once.
+    aug = augment(params)
+    filtered = forward_filter(aug, params.Sigma, X)
     trace = TrainingTrace()
-    trace.init_loglik = log_likelihood(params, X)
+    trace.init_loglik = filtered.log_likelihood()
     best_params = params
     best_loglik = trace.init_loglik
     prev_loglik = trace.init_loglik
@@ -272,12 +279,14 @@ def fit(X: np.ndarray, cfg: EmConfig) -> tuple[ModelParams, TrainingTrace]:
     for it in range(1, cfg.max_iterations + 1):
         started = time.perf_counter()
         try:
-            moments = e_step(params, X)
+            moments = backward_smooth(aug, filtered)
             H_new = update_H(moments, X)
             Sigma_new = update_Sigma(moments, X, H_new)
             B_new, Gamma_new, warns = update_beta(moments, params, cfg, iteration=it)
             params = ModelParams(B=B_new, H=H_new, Gamma=Gamma_new, Sigma=Sigma_new)
-            loglik = log_likelihood(params, X)
+            aug = augment(params)
+            filtered = forward_filter(aug, params.Sigma, X)
+            loglik = filtered.log_likelihood()
         except PpfaError as exc:
             raise type(exc)(f"EM iteration {it}: {exc}") from exc
         trace.rows.append(

@@ -1,13 +1,63 @@
 """Shared test utilities: a brute-force joint-Gaussian oracle for the
 stacked linear dynamic model, built without any filtering code so it can
-arbitrate the recursive implementations."""
+arbitrate the recursive implementations, and an exact Kalman
+filter/smoother reference that recomputes every covariance at every step."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ppfa import augment
+
+
+def _sym(a):
+    return 0.5 * (a + a.T)
+
+
+def exact_filter(aug, Sigma, X):
+    """Kalman filter over rows s-1.. of X with the full covariance recursion
+    at every step. Returns (mu, V, P, loglik) with per-step (T, d, d) V/P."""
+    rows = np.asarray(X, dtype=float)[aug.s - 1:]
+    T, m = rows.shape
+    d = aug.dim
+    mu = np.empty((T, d))
+    V = np.empty((T, d, d))
+    P = np.empty((T, d, d))
+    loglik = 0.0
+    for k, x in enumerate(rows):
+        if k == 0:
+            pred, P[k] = np.zeros(d), np.eye(d)
+        else:
+            pred = aug.Phi @ mu[k - 1]
+            P[k] = _sym(aug.Phi @ V[k - 1] @ aug.Phi.T + aug.GammaK)
+        PHt = P[k] @ aug.Hk.T
+        S = _sym(aug.Hk @ PHt) + np.diag(Sigma)
+        chol = scipy.linalg.cho_factor(S, lower=True)
+        e = x - aug.Hk @ pred
+        K = scipy.linalg.cho_solve(chol, PHt.T).T
+        mu[k] = pred + K @ e
+        V[k] = _sym(P[k] - K @ PHt.T)
+        logdet = 2.0 * np.sum(np.log(np.diag(chol[0])))
+        loglik += -0.5 * (m * np.log(2 * np.pi) + logdet + e @ scipy.linalg.cho_solve(chol, e))
+    return mu, V, P, loglik
+
+
+def exact_smoother(aug, mu, V, P):
+    """Fixed-interval smoother with a fresh gain at every step. Returns
+    (mean, cov, lag1) as SmoothedMoments holds them."""
+    T, d = mu.shape
+    mean = np.empty((T, d))
+    cov = np.empty((T, d, d))
+    lag1 = np.empty((max(T - 1, 0), d, d))
+    mean[-1], cov[-1] = mu[-1], V[-1]
+    for k in range(T - 2, -1, -1):
+        J = np.linalg.solve(P[k + 1], aug.Phi @ V[k]).T
+        mean[k] = mu[k] + J @ (mean[k + 1] - aug.Phi @ mu[k])
+        cov[k] = _sym(V[k] + J @ (cov[k + 1] - P[k + 1]) @ J.T)
+        lag1[k] = cov[k + 1] @ J.T + np.outer(mean[k + 1], mean[k])
+    return mean, cov, lag1
 
 
 def joint_covariance(aug, Sigma, T):

@@ -164,6 +164,18 @@ class TestScore:
         assert code == 2
         assert capsys.readouterr().err.splitlines()[0] == "error: config"
 
+    def test_wrong_size_dynamics_covariance_is_config_error(self, workdir, tmp_path, capsys):
+        doc = json.loads((workdir / "model.json").read_text())
+        doc["dynamics_covariance"] = [[1.0, 0.0], [0.0, 1.0]]  # the model has r*s = 1
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        code = main(["score", "--model", str(model),
+                     "--data", str(workdir / "data.csv"), "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "error: config"
+        assert "dynamics_covariance" in err[1]
+
 
 class TestSelect:
     def test_single_pair(self, workdir, tmp_path, capsys):

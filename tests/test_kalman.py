@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import GaussianOracle
+from conftest import GaussianOracle, exact_filter, exact_smoother
 from ppfa import (
     ModelParams,
     augment,
@@ -135,3 +137,65 @@ def test_log_likelihood_matches_oracle():
         oracle = GaussianOracle(p, X, T)
         ll = log_likelihood_filter(augment(p), p.Sigma, X)
         assert ll == pytest.approx(oracle.log_likelihood(), abs=1e-8)
+
+
+def _rel_err(a, b):
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.integers(1, 2),
+    s=st.integers(1, 3),
+    extra_m=st.integers(0, 2),
+    max_radius=st.sampled_from([0.5, 0.9, 0.99, 0.999]),
+    n_rows=st.sampled_from([3, 8, 30, 400]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_steady_state_filter_and_smoother_match_exact_recursion(
+    r, s, extra_m, max_radius, n_rows, seed
+):
+    p = random_stable_params(m=r + extra_m, r=r, s=s, seed=seed, max_radius=max_radius,
+                             beta_scale=1.9 if max_radius > 0.9 else 0.8)
+    _, X = simulate(p, n_rows + s - 1, seed=seed + 1)
+    aug = augment(p)
+    filtered = forward_filter(aug, p.Sigma, X)
+    smoothed = backward_smooth(aug, filtered)
+    mu, V, P, loglik = exact_filter(aug, p.Sigma, X)
+    mean, cov, lag1 = exact_smoother(aug, mu, V, P)
+    assert _rel_err(filtered.mu, mu) <= 1e-12
+    assert _rel_err(np.stack([filtered[k].V for k in range(n_rows)]), V) <= 1e-12
+    assert _rel_err(np.stack([filtered[k].P for k in range(n_rows)]), P) <= 1e-12
+    assert _rel_err(smoothed.mean, mean) <= 1e-12
+    assert _rel_err(smoothed.cov, cov) <= 1e-12
+    if n_rows > 1:
+        assert _rel_err(smoothed.lag1, lag1) <= 1e-12
+    assert abs(filtered.log_likelihood() - loglik) <= 1e-12 * abs(loglik)
+    assert log_likelihood_filter(aug, p.Sigma, X) == filtered.log_likelihood()
+
+
+def test_steady_state_switch_engages_only_on_long_series():
+    p = random_stable_params(m=4, r=2, s=2, seed=12)
+    _, X = simulate(p, 2000, seed=13)
+    aug = augment(p)
+    long = forward_filter(aug, p.Sigma, X)
+    assert long.covariances[-1].steady
+    assert len(long.covariances) < 100
+    # every later row reuses the covariance step of the switch
+    assert long[len(X) - 2].covariance is long.covariances[-1]
+    short = forward_filter(aug, p.Sigma, X[:6])
+    assert not short.covariances[-1].steady
+    assert len(short.covariances) == len(short)
+
+
+def test_filtering_continues_from_a_batch_belief():
+    p = random_stable_params(m=3, r=2, s=2, seed=14)
+    _, X = simulate(p, 300, seed=15)
+    aug = augment(p)
+    whole = forward_filter(aug, p.Sigma, X)
+    head = forward_filter(aug, p.Sigma, X[:150])
+    belief = head[-1]
+    for k, x in enumerate(X[150:], start=150 - p.s + 1):
+        belief, mu, innovation = filter_step(aug, p.Sigma, belief, x)
+        assert np.array_equal(mu, whole.mu[k])
+        assert np.array_equal(innovation, whole.innovation[k])

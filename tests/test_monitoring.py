@@ -5,6 +5,7 @@ import scipy.stats
 from ppfa import (
     ConfigError,
     ControlLimits,
+    DataError,
     DynamicsCovariance,
     ModelParams,
     MonitorReport,
@@ -16,6 +17,7 @@ from ppfa import (
     di_statistic,
     estimate_D,
     filter_step,
+    fit_whitening,
     kde_limit,
     random_stable_params,
     score_stream,
@@ -135,6 +137,12 @@ def trained_setup():
     return params, X_train, limits, dynamics
 
 
+@pytest.mark.parametrize("t2", [float("nan"), float("inf"), 0.0, -1.0])
+def test_control_limits_must_be_finite_and_positive(t2):
+    with pytest.raises(ConfigError):
+        ControlLimits(t2=t2, spe=1.0, di=1.0, alpha=0.99)
+
+
 class TestCalibrate:
     def test_alpha_ordering(self, trained_setup):
         params, X_train, _, _ = trained_setup
@@ -185,6 +193,29 @@ class TestScoreStream:
         assert np.array_equal(batch.flag_di, merged.flag_di)
         assert batch.verdict == merged.verdict
         assert np.array_equal(batch.burn_in, merged.burn_in)
+
+    def test_one_row_calls_equal_batch_bitwise_with_fitted_whitening(self, trained_setup):
+        params, _, limits, dynamics = trained_setup
+        _, X_new = simulate(params, 300, seed=13)
+        # raw units far from white, so the whitening is not the identity
+        X_raw = X_new @ np.array([[2.0, 0.3, 0.0, 0.1], [0.0, 1.5, 0.4, 0.0],
+                                  [0.2, 0.0, 0.7, 0.0], [0.0, 0.1, 0.0, 3.0]]) + 5.0
+        whitening = fit_whitening(X_raw)
+        batch = score_stream(params, whitening, dynamics, limits, X_raw)
+        session = MonitorSession(params, whitening, dynamics, limits)
+        merged = MonitorReport.concat([session.score(X_raw[i:i + 1]) for i in range(len(X_raw))])
+        for field in ("t2", "spe", "di", "flag_t2", "flag_spe", "flag_di", "burn_in"):
+            assert np.array_equal(getattr(batch, field), getattr(merged, field)), field
+        assert batch.verdict == merged.verdict
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_is_data_error(self, trained_setup, bad):
+        params, _, limits, dynamics = trained_setup
+        X = np.zeros((5, params.m))
+        X[3, 2] = bad
+        session = MonitorSession(params, WhiteningTransform.identity(params.m), dynamics, limits)
+        with pytest.raises(DataError, match="row 3, column 2"):
+            session.score(X)
 
     def test_zero_input_static_model_never_fires_t2(self):
         params = ModelParams.from_dynamics(

@@ -86,6 +86,27 @@ def test_load_rejects_missing_field(tmp_path, trained):
         load_model(path)
 
 
+@pytest.mark.parametrize("edit, fragment", [
+    (lambda doc: doc["limits"].update(t2=float("nan")), "limits.t2"),
+    (lambda doc: doc["limits"].update(spe=-1.0), "spe limit"),
+    (lambda doc: doc.update(dynamics_covariance=[[1.0, 0.0], [0.0, 1.0]]), "dynamics_covariance"),
+    (lambda doc: doc.update(m=5), "emission"),
+    (lambda doc: doc["whitening"].update(mean=[0.0] * 3), "whitening.mean"),
+    (lambda doc: doc["whitening"]["singvals"].__setitem__(0, float("inf")), "whitening.singvals"),
+    (lambda doc: doc.update(emission=[["a"]] * 4), "malformed"),
+])
+def test_load_rejects_inconsistent_or_non_finite_fields(tmp_path, trained, edit, fragment):
+    import json
+    _, _, model, _ = trained
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=fragment):
+        load_model(path)
+
+
 def test_trace_csv(tmp_path, trained):
     _, _, _, trace = trained
     path = tmp_path / "trace.csv"

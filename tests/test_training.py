@@ -4,6 +4,7 @@ import pytest
 from conftest import GaussianOracle
 from ppfa import (
     ConfigError,
+    DataError,
     EmConfig,
     ModelParams,
     augment,
@@ -286,6 +287,28 @@ class TestFit:
         cfg = EmConfig(r=1, s=1, max_iterations=3, seed=29)
         params, _ = fit(small_data, cfg)
         assert np.max(params.unit_variance_residual()) <= 1e-6
+
+    def test_trace_logliks_equal_fresh_log_likelihoods(self, small_data):
+        cfg = EmConfig(r=1, s=1, max_iterations=3, loglik_rel_tol=1e-15, seed=30)
+        _, trace = fit(small_data, cfg)
+        # replay the EM iterates with the public steps
+        params = init_params(small_data, cfg)
+        assert trace.init_loglik == pytest.approx(log_likelihood(params, small_data), rel=1e-12)
+        for row in trace.rows:
+            moments = e_step(params, small_data)
+            H = update_H(moments, small_data)
+            Sigma = update_Sigma(moments, small_data, H)
+            B, Gamma, _ = update_beta(moments, params, cfg, iteration=row.iteration)
+            params = ModelParams(B=B, H=H, Gamma=Gamma, Sigma=Sigma)
+            assert np.array_equal(params.B, row.beta)
+            assert row.loglik == pytest.approx(log_likelihood(params, small_data), rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_input_is_data_error(self, small_data, bad):
+        X = small_data.copy()
+        X[17, 1] = bad
+        with pytest.raises(DataError, match="row 17, column 1"):
+            fit(X, EmConfig(r=1, s=1, max_iterations=1))
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(ConfigError):
