@@ -11,6 +11,7 @@ stays nonnegative; infeasible points pay a linear penalty.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,15 @@ class GaConfig:
     search_box: tuple[float, float] = (-2.0, 2.0)
 
     def __post_init__(self):
+        for name in ("crossover_rate", "mutation_rate", "mutation_scale", "lambda_penalty"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ConfigError(f"{name} must be finite, got {v}")
+        lo, hi = self.search_box
+        if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
+            raise ConfigError(
+                f"search_box must be finite with a finite width, got {self.search_box}"
+            )
         if self.population_size < 2:
             raise ConfigError("population_size must be >= 2")
         if self.elitism_count >= self.population_size:
@@ -164,7 +174,10 @@ def minimize(
     The warm start, when given, is clipped into the search box and injected
     into generation zero, so the result is never worse than the warm start.
     All random draws for a generation happen up front in a fixed order, so
-    the result depends only on (obj, cfg, warm_start, seed).
+    the result depends only on (obj, cfg, warm_start, seed). The offspring
+    of a generation are built from those draws as whole arrays: tournament
+    winners by one fancy index (the first minimum wins a tie), then blend
+    crossover and mutation elementwise.
     """
     s = obj.s
     lo, hi = cfg.search_box
@@ -180,6 +193,8 @@ def minimize(
 
     n_fill = cfg.population_size - cfg.elitism_count
     n_pairs = (n_fill + 1) // 2
+    # One tournament per child: rows 2p and 2p+1 pick the parents of pair p.
+    rows = np.arange(2 * n_pairs)
     history = np.empty(cfg.generations)
     best_beta = pop[0].copy()
     best_g = np.inf
@@ -202,24 +217,20 @@ def minimize(
         mut_noise = rng.normal(0.0, cfg.mutation_scale, size=(2 * n_pairs, s))
 
         order = np.argsort(fitness, kind="stable")
-        elites = pop[order[: cfg.elitism_count]].copy()
+        elites = pop[order[: cfg.elitism_count]]
 
+        flat = tourney.reshape(-1, 3)
+        winners = flat[rows, fitness[flat].argmin(axis=1)]
+        parent1, parent2 = pop[winners[0::2]], pop[winners[1::2]]
+        cross = (cx_coin < cfg.crossover_rate)[:, None]
+        rest = 1.0 - blend
         children = np.empty((2 * n_pairs, s))
-        for p in range(n_pairs):
-            i1 = tourney[p, 0][np.argmin(fitness[tourney[p, 0]])]
-            i2 = tourney[p, 1][np.argmin(fitness[tourney[p, 1]])]
-            parent1, parent2 = pop[i1], pop[i2]
-            if cx_coin[p] < cfg.crossover_rate:
-                a = blend[p]
-                children[2 * p] = a * parent1 + (1.0 - a) * parent2
-                children[2 * p + 1] = (1.0 - a) * parent1 + a * parent2
-            else:
-                children[2 * p] = parent1
-                children[2 * p + 1] = parent2
+        children[0::2] = np.where(cross, blend * parent1 + rest * parent2, parent1)
+        children[1::2] = np.where(cross, rest * parent1 + blend * parent2, parent2)
         children = np.where(mut_mask, children + mut_noise, children)
         np.clip(children, lo, hi, out=children)
 
-        pop = np.vstack([elites, children[:n_fill]])
+        pop = np.concatenate((elites, children[:n_fill]))
 
     slack = 1.0 - best_beta @ obj.gamma
     return GaResult(

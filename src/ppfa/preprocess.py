@@ -82,8 +82,11 @@ def fit_whitening(data: np.ndarray) -> WhiteningTransform:
     """Fit a whitening transform to a (rows, m) training matrix.
 
     Uses the centered sample covariance with 1/(rows-1) normalization.
-    Raises NumericsError if the covariance is rank deficient (any eigenvalue
-    below ``RANK_RTOL`` times the largest), naming the deficient directions.
+    Raises DataError, naming the channels, if the covariance overflows to a
+    non-finite value or if a channel that varies has a variance that
+    underflows below the smallest normal float. Raises NumericsError if the
+    covariance is rank deficient (any eigenvalue below ``RANK_RTOL`` times
+    the largest), naming the deficient directions.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -95,7 +98,22 @@ def fit_whitening(data: np.ndarray) -> WhiteningTransform:
 
     mean = data.mean(axis=0)
     centered = data - mean
-    cov = centered.T @ centered / (rows - 1)
+    with np.errstate(over="ignore", under="ignore"):
+        cov = centered.T @ centered / (rows - 1)
+    overflowed = np.nonzero(~np.isfinite(cov).all(axis=0))[0]
+    if overflowed.size:
+        raise DataError(
+            f"sample covariance overflows along channel(s) {overflowed.tolist()}; "
+            "data magnitude is too large to whiten"
+        )
+    underflowed = np.nonzero(
+        (np.diag(cov) < np.finfo(float).tiny) & np.any(centered != 0.0, axis=0)
+    )[0]
+    if underflowed.size:
+        raise DataError(
+            f"sample covariance underflows along channel(s) {underflowed.tolist()}; "
+            "data magnitude is too small to whiten"
+        )
     eigvals, eigvecs = np.linalg.eigh(cov)
     # eigh returns ascending; store descending.
     order = np.argsort(eigvals)[::-1]

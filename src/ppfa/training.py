@@ -11,6 +11,7 @@ rather than the last one.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -51,8 +52,10 @@ class EmConfig:
             raise ConfigError("s must be >= 1")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
-        if self.loglik_rel_tol <= 0:
-            raise ConfigError("loglik_rel_tol must be positive")
+        if not (math.isfinite(self.loglik_rel_tol) and self.loglik_rel_tol > 0):
+            raise ConfigError(
+                f"loglik_rel_tol must be finite and positive, got {self.loglik_rel_tol}"
+            )
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Shared test utilities: a brute-force joint-Gaussian oracle for the
 stacked linear dynamic model, built without any filtering code so it can
-arbitrate the recursive implementations, and an exact Kalman
-filter/smoother reference that recomputes every covariance at every step."""
+arbitrate the recursive implementations, an exact Kalman filter/smoother
+reference that recomputes every covariance at every step, and a GA
+reference that builds the offspring one pair at a time."""
 
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import pytest
 import scipy.linalg
 
 from ppfa import augment
+from ppfa.errors import ConfigError
+from ppfa.genetic import FEASIBILITY_TOL, GaResult, _batch_g
 
 
 def _sym(a):
@@ -102,6 +105,74 @@ def condition(S, target_idx, obs_idx, obs_val):
     mean = Sto @ np.linalg.solve(Soo, obs_val)
     cov = Stt - Sto @ np.linalg.solve(Soo, Sto.T)
     return mean, cov
+
+
+def reference_minimize(obj, cfg, warm_start=None, seed=None):
+    """The GA with a per-pair offspring loop: same draws, same order, and
+    the same elementwise arithmetic as ``ppfa.genetic.minimize``, so the
+    two must agree bit for bit."""
+    s = obj.s
+    lo, hi = cfg.search_box
+    lam = cfg.lambda_penalty
+    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+
+    pop = rng.uniform(lo, hi, size=(cfg.population_size, s))
+    if warm_start is not None:
+        warm = np.clip(np.asarray(warm_start, dtype=float), lo, hi)
+        if warm.shape != (s,):
+            raise ConfigError(f"warm_start has shape {warm.shape}, expected ({s},)")
+        pop[0] = warm
+
+    n_fill = cfg.population_size - cfg.elitism_count
+    n_pairs = (n_fill + 1) // 2
+    history = np.empty(cfg.generations)
+    best_beta = pop[0].copy()
+    best_g = np.inf
+
+    for gen in range(cfg.generations):
+        fitness = _batch_g(pop, obj, lam)
+        gen_best = int(np.argmin(fitness))
+        if fitness[gen_best] < best_g:
+            best_g = float(fitness[gen_best])
+            best_beta = pop[gen_best].copy()
+        history[gen] = best_g
+        if gen == cfg.generations - 1:
+            break
+
+        # All stochastic choices for this generation, drawn in fixed order.
+        tourney = rng.integers(0, cfg.population_size, size=(n_pairs, 2, 3))
+        cx_coin = rng.random(n_pairs)
+        blend = rng.random((n_pairs, s))
+        mut_mask = rng.random((2 * n_pairs, s)) < cfg.mutation_rate
+        mut_noise = rng.normal(0.0, cfg.mutation_scale, size=(2 * n_pairs, s))
+
+        order = np.argsort(fitness, kind="stable")
+        elites = pop[order[: cfg.elitism_count]].copy()
+
+        children = np.empty((2 * n_pairs, s))
+        for p in range(n_pairs):
+            i1 = tourney[p, 0][np.argmin(fitness[tourney[p, 0]])]
+            i2 = tourney[p, 1][np.argmin(fitness[tourney[p, 1]])]
+            parent1, parent2 = pop[i1], pop[i2]
+            if cx_coin[p] < cfg.crossover_rate:
+                a = blend[p]
+                children[2 * p] = a * parent1 + (1.0 - a) * parent2
+                children[2 * p + 1] = (1.0 - a) * parent1 + a * parent2
+            else:
+                children[2 * p] = parent1
+                children[2 * p + 1] = parent2
+        children = np.where(mut_mask, children + mut_noise, children)
+        np.clip(children, lo, hi, out=children)
+
+        pop = np.vstack([elites, children[:n_fill]])
+
+    slack = 1.0 - best_beta @ obj.gamma
+    return GaResult(
+        beta=best_beta,
+        g_value=best_g,
+        feasible=bool(slack >= -FEASIBILITY_TOL),
+        history=history,
+    )
 
 
 class GaussianOracle:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ppfa.cli import main, read_csv
+from ppfa.cli import EXIT_CODES, main, read_csv
 
 TRAIN_CONFIG = """
 [em]
@@ -118,6 +118,38 @@ class TestTrain:
                      "--config", str(cfg), "--model", str(tmp_path / "m.json")])
         assert code == 2
         assert "max_iter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,name", [
+        ("[ga]\nsearch_lo = nan", "search_box"),
+        ("[ga]\nsearch_hi = inf", "search_box"),
+        ("[ga]\nmutation_scale = nan", "mutation_scale"),
+        ("[ga]\nlambda_penalty = nan", "lambda_penalty"),
+        ("[ga]\nlambda_penalty = inf", "lambda_penalty"),
+        ("loglik_rel_tol = nan", "loglik_rel_tol"),
+    ])
+    def test_non_finite_config_value_is_config_error(self, tmp_path, capsys, workdir,
+                                                     line, name):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[em]\nr = 1\ns = 1\n{line}\n")
+        code = main(["train", "--data", str(workdir / "data.csv"),
+                     "--config", str(cfg), "--model", str(tmp_path / "m.json")])
+        assert code == EXIT_CODES["config"]
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == "error: config"
+        assert name in err and "Traceback" not in err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_overflowing_data_is_io_error(self, tmp_path, capsys, workdir):
+        huge = tmp_path / "huge.csv"
+        rows = np.random.default_rng(3).standard_normal((40, 3)) * 1e200
+        lines = [",".join(repr(float(v)) for v in row) for row in rows]
+        huge.write_text("a,b,c\n" + "\n".join(lines) + "\n")
+        code = main(["train", "--data", str(huge), "--config", str(workdir / "train.ini"),
+                     "--model", str(tmp_path / "m.json")])
+        assert code == EXIT_CODES["io"]
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == "error: io"
+        assert "overflows" in err and "Traceback" not in err
 
 
 class TestScore:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_minimize
 from ppfa import BetaObjective, ConfigError, GaConfig, minimize, objective_f, objective_g
 
 
@@ -127,6 +130,58 @@ class TestMinimize:
         assert a.history[0] != c.history[0]
 
 
+def random_objective(rng, s, dead_lags):
+    """Random PSD lagged moments. A dead lag has zero gamma and zero moments,
+    so f ignores its gene: individuals that differ only there tie, and the
+    tournament's tie rule decides which one breeds."""
+    L = rng.normal(size=(s + 1, s + 1))
+    n = float(rng.uniform(1.0, 1000.0))
+    moments = n * (L @ L.T) / (s + 1)
+    moments = 0.5 * (moments + moments.T)
+    gamma = rng.uniform(-0.95, 0.95, size=s)
+    for j, dead in enumerate(dead_lags, start=1):
+        if dead:
+            moments[j, :] = 0.0
+            moments[:, j] = 0.0
+            gamma[j - 1] = 0.0
+    return BetaObjective(gamma=gamma, moments=moments, n=n)
+
+
+RATES = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.05, 0.95))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_minimize_matches_per_pair_reference_bitwise(data):
+    s = data.draw(st.integers(1, 4), label="s")
+    population_size = data.draw(st.integers(2, 61), label="population_size")
+    cfg = GaConfig(
+        population_size=population_size,
+        generations=data.draw(st.integers(1, 40), label="generations"),
+        crossover_rate=data.draw(RATES, label="crossover_rate"),
+        mutation_rate=data.draw(RATES, label="mutation_rate"),
+        mutation_scale=data.draw(st.floats(0.01, 1.0), label="mutation_scale"),
+        lambda_penalty=data.draw(st.sampled_from([1.0, 1e3]), label="lambda_penalty"),
+        elitism_count=data.draw(st.integers(0, min(2, population_size - 1)), label="elitism"),
+        search_box=data.draw(
+            st.sampled_from([(-2.0, 2.0), (-0.3, 0.3), (-0.05, 0.05)]), label="search_box"
+        ),
+    )
+    dead = data.draw(st.lists(st.booleans(), min_size=s, max_size=s), label="dead_lags")
+    obj = random_objective(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), s, dead)
+    warm = data.draw(
+        st.none() | st.lists(st.floats(-3.0, 3.0), min_size=s, max_size=s), label="warm_start"
+    )
+    seed = data.draw(st.none() | st.integers(0, 2**32 - 1), label="seed")
+
+    got = minimize(obj, cfg, warm_start=warm, seed=seed)
+    want = reference_minimize(obj, cfg, warm_start=warm, seed=seed)
+    assert got.beta.tobytes() == want.beta.tobytes()
+    assert np.float64(got.g_value).tobytes() == np.float64(want.g_value).tobytes()
+    assert got.history.tobytes() == want.history.tobytes()
+    assert got.feasible is want.feasible
+
+
 class TestConfigValidation:
     def test_bad_population(self):
         with pytest.raises(ConfigError):
@@ -149,6 +204,21 @@ class TestConfigValidation:
     def test_bad_box(self):
         with pytest.raises(ConfigError):
             GaConfig(search_box=(1.0, -1.0))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"search_box": (float("nan"), 1.0)},
+        {"search_box": (-1.0, float("inf"))},
+        {"search_box": (-1e308, 1e308)},
+        {"mutation_scale": float("nan")},
+        {"mutation_scale": float("inf")},
+        {"lambda_penalty": float("nan")},
+        {"lambda_penalty": float("inf")},
+        {"crossover_rate": float("nan")},
+        {"mutation_rate": float("nan")},
+    ])
+    def test_non_finite_values_rejected(self, kwargs):
+        with pytest.raises(ConfigError, match="finite"):
+            GaConfig(**kwargs)
 
     def test_moments_must_be_psd(self):
         with pytest.raises(ConfigError):

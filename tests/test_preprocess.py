@@ -3,6 +3,7 @@ import pytest
 
 from ppfa import (
     ConfigError,
+    DataError,
     NumericsError,
     WhiteningTransform,
     apply_whitening,
@@ -24,6 +25,19 @@ def white_basis(n, m, seed=0):
 def test_identical_rows_is_rank_deficient():
     data = np.tile([1.0, 2.0, 3.0], (50, 1))
     with pytest.raises(NumericsError):
+        fit_whitening(data)
+
+
+def test_overflowing_covariance_is_data_error():
+    data = np.random.default_rng(1).standard_normal((50, 3)) * 1e200
+    with pytest.raises(DataError, match=r"overflows along channel\(s\) \[0, 1, 2\]"):
+        fit_whitening(data)
+
+
+def test_underflowing_covariance_is_data_error_not_rank_deficiency():
+    data = np.random.default_rng(2).standard_normal((50, 3))
+    data[:, 1] *= 1e-200
+    with pytest.raises(DataError, match=r"underflows along channel\(s\) \[1\]"):
         fit_whitening(data)
 
 

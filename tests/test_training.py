@@ -62,6 +62,12 @@ class TestInitParams:
             init_params(np.zeros((100, 2)), EmConfig(r=3, s=1))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-6])
+def test_em_config_rejects_bad_loglik_rel_tol(tol):
+    with pytest.raises(ConfigError, match="loglik_rel_tol"):
+        EmConfig(r=1, s=1, loglik_rel_tol=tol)
+
+
 class TestEStep:
     def test_conjugate_static_posterior(self):
         # B=0, H=I, Sigma=I: posterior mean is x/2 coordinate-wise
