@@ -22,16 +22,12 @@ from .monitoring import (
     MonitorReport,
     MonitorSession,
     calibrate,
-    di_statistic,
     estimate_D,
     kde_limit,
-    score_stream,
-    spe_statistic,
-    t2_statistic,
 )
 from .pipeline import TrainedModel, load_model, save_model, train_monitoring_model
 from .preprocess import WhiteningTransform, apply_whitening, fit_whitening, invert_whitening
-from .selection import SelectionGrid, SelectionResult, far, fdr, inject_step_fault, select
+from .selection import SelectionGrid, SelectionResult, inject_step_fault, select
 from .statespace import (
     AugmentedParams,
     ModelParams,
@@ -72,11 +68,8 @@ __all__ = [
     "autocovariances",
     "backward_smooth",
     "calibrate",
-    "di_statistic",
     "e_step",
     "estimate_D",
-    "far",
-    "fdr",
     "filter_step",
     "fit",
     "fit_whitening",
@@ -94,11 +87,8 @@ __all__ = [
     "one_step_predictions",
     "random_stable_params",
     "save_model",
-    "score_stream",
     "select",
     "simulate",
-    "spe_statistic",
     "stationary_autocovariances",
-    "t2_statistic",
     "train_monitoring_model",
 ]

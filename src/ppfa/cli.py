@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import sys
 
@@ -186,18 +187,26 @@ def _ga_config(cfg: _Config, seed_override: int | None) -> GaConfig:
     )
 
 
+def _field_defaults(cls) -> dict:
+    """The declared defaults of a config dataclass, by field name."""
+    return {
+        f.name: f.default for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING
+    }
+
+
 def _em_config(cfg: _Config, seed_override: int | None) -> EmConfig:
     r = cfg.get_int("em", "r")
     s = cfg.get_int("em", "s")
     if r is None or s is None:
         raise ConfigError("[em] r and s are required")
-    seed = cfg.get_int("em", "seed", 0)
+    defaults = _field_defaults(EmConfig)
+    seed = cfg.get_int("em", "seed", defaults["seed"])
     if seed_override is not None:
         seed = seed_override
     return EmConfig(
         r=r, s=s,
-        max_iterations=cfg.get_int("em", "max_iterations", 50),
-        loglik_rel_tol=cfg.get_float("em", "loglik_rel_tol", 1e-6),
+        max_iterations=cfg.get_int("em", "max_iterations", defaults["max_iterations"]),
+        loglik_rel_tol=cfg.get_float("em", "loglik_rel_tol", defaults["loglik_rel_tol"]),
         ga=_ga_config(cfg, seed_override),
         seed=seed,
     )
@@ -249,13 +258,16 @@ def cmd_select(args) -> int:
     cfg = _Config(args.config)
     em_cfg = _em_config(cfg, args.seed)
     alpha = _alpha(cfg, args.alpha)
+    defaults = _field_defaults(SelectionGrid)
     grid = SelectionGrid(
         r_candidates=cfg.get_int_list("select", "r_candidates", (1, 2, 3)),
         s_candidates=cfg.get_int_list("select", "s_candidates", (1, 2)),
-        magnitudes=cfg.get_float_list("select", "magnitudes", (1.0, 2.0, 4.0)),
-        n_inject_channels=cfg.get_int("select", "n_inject_channels", 3),
-        onset_fraction=cfg.get_float("select", "onset_fraction", 0.5),
-        split_fraction=cfg.get_float("select", "split_fraction", 0.8),
+        magnitudes=cfg.get_float_list("select", "magnitudes", defaults["magnitudes"]),
+        n_inject_channels=cfg.get_int(
+            "select", "n_inject_channels", defaults["n_inject_channels"]
+        ),
+        onset_fraction=cfg.get_float("select", "onset_fraction", defaults["onset_fraction"]),
+        split_fraction=cfg.get_float("select", "split_fraction", defaults["split_fraction"]),
     )
     _, data = read_csv(args.data)
     result = select(data, grid, em_cfg, alpha, seed=em_cfg.seed)

@@ -3,9 +3,10 @@
 Three statistics are tracked per sample: the squared norm of the filtered
 stacked latent estimate (T2), the squared one-step prediction error of the
 measurement (SPE), and the Mahalanobis norm of the latent first difference
-under the training-time difference covariance (DI). Control limits are
-quantiles of each statistic's training distribution estimated with a
-Gaussian-kernel KDE.
+under the training-time difference covariance (DI). ``MonitorSession``
+computes them for scoring, ``calibrate`` for the training series. Control
+limits are quantiles of each statistic's training distribution estimated
+with a Gaussian-kernel KDE.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from scipy.special import ndtr
 from .errors import ConfigError, NumericsError
 from .kalman import AugmentedBelief, backward_smooth, filter_step, forward_filter
 from .preprocess import WhiteningTransform, apply_whitening, require_finite
-from .statespace import AugmentedParams, ModelParams, augment
+from .statespace import ModelParams, augment
 
 VERDICT_NORMAL = "normal"
 VERDICT_DYNAMIC = "dynamic-or-shift"
@@ -76,23 +77,6 @@ class ControlLimits:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} limit must be finite and positive, got {value}")
-
-
-def t2_statistic(t_s: np.ndarray) -> float:
-    """Squared Euclidean norm of the stacked latent estimate."""
-    t_s = np.asarray(t_s, dtype=float)
-    return float(t_s @ t_s)
-
-
-def spe_statistic(innovation: np.ndarray) -> float:
-    """Squared norm of the one-step measurement prediction error."""
-    innovation = np.asarray(innovation, dtype=float)
-    return float(innovation @ innovation)
-
-
-def di_statistic(t_s_now: np.ndarray, t_s_prev: np.ndarray, dynamics: DynamicsCovariance) -> float:
-    """Mahalanobis norm of the latent first difference under D."""
-    return dynamics.mahalanobis(np.asarray(t_s_now, dtype=float) - np.asarray(t_s_prev, dtype=float))
 
 
 def estimate_D(moments) -> DynamicsCovariance:
@@ -154,32 +138,6 @@ def kde_limit(values: np.ndarray, alpha: float) -> tuple[float, float]:
     hi = float(values.max()) + 40.0 * bandwidth
     psi = brentq(lambda p: cdf(p) - alpha, lo, hi, xtol=1e-8)
     return float(psi), bandwidth
-
-
-class StatisticsStream:
-    """Sequential computation of T2, SPE, and DI over whitened samples.
-
-    One instance owns one stream's filter state; the first sample is scored
-    against the stacked-state prior and has no first difference, so its DI
-    is reported as zero.
-    """
-
-    def __init__(self, aug: AugmentedParams, Sigma: np.ndarray, dynamics: DynamicsCovariance):
-        self._aug = aug
-        self._Sigma = Sigma
-        self._dynamics = dynamics
-        self._belief: AugmentedBelief | None = None
-        self._prev_mu: np.ndarray | None = None
-        self.samples_seen = 0
-
-    def step(self, x_whitened: np.ndarray) -> tuple[float, float, float]:
-        self._belief, mu, innovation = filter_step(self._aug, self._Sigma, self._belief, x_whitened)
-        t2 = t2_statistic(mu)
-        spe = spe_statistic(innovation)
-        di = 0.0 if self._prev_mu is None else di_statistic(mu, self._prev_mu, self._dynamics)
-        self._prev_mu = mu
-        self.samples_seen += 1
-        return t2, spe, di
 
 
 @dataclass
@@ -258,11 +216,14 @@ def _verdict(flag_t2: bool, flag_spe: bool, flag_di: bool) -> str:
 
 
 class MonitorSession:
-    """Stateful scorer for one measurement stream.
+    """The one scorer: T2, SPE and DI of one measurement stream, row by row.
 
-    Scoring a series in chunks through one session gives exactly the same
-    rows as scoring it in a single call; the filter belief, previous latent
-    estimate, and burn-in counter carry across chunks.
+    Batch scoring (``TrainedModel.score``) and one-row streaming both run
+    through this class. The session owns the stream's filter belief, the
+    previous latent estimate and the count of rows seen, so scoring a series
+    in chunks gives exactly the same rows as scoring it in a single call. The
+    first row is scored against the stacked-state prior and has no first
+    difference, so its DI is zero; the first s rows are marked as burn-in.
     """
 
     def __init__(
@@ -278,12 +239,17 @@ class MonitorSession:
             )
         self._params = params
         self._whitening = whitening
+        self._dynamics = dynamics
         self._limits = limits
-        self._stream = StatisticsStream(augment(params), params.Sigma, dynamics)
+        self._aug = augment(params)
+        self._belief: AugmentedBelief | None = None
+        self._prev_mu: np.ndarray | None = None
+        self._rows_seen = 0
 
     def score(self, X_raw: np.ndarray) -> MonitorReport:
         """Score the next (rows, m) block of raw measurements. A non-finite
-        cell raises DataError naming its row and column."""
+        cell raises DataError naming its row and column; a block that raises
+        leaves the session as it was."""
         X_raw = np.asarray(X_raw, dtype=float)
         if X_raw.ndim != 2:
             raise ConfigError(f"X must be 2-D, got ndim {X_raw.ndim}")
@@ -293,15 +259,21 @@ class MonitorSession:
             )
         require_finite(X_raw)
         n = X_raw.shape[0]
-        start = self._stream.samples_seen
+        start = self._rows_seen
         X_w = apply_whitening(self._whitening, X_raw)
         t2 = np.empty(n)
         spe = np.empty(n)
         di = np.empty(n)
-        burn = np.empty(n, dtype=bool)
+        aug, Sigma, dynamics = self._aug, self._params.Sigma, self._dynamics
+        belief, prev_mu = self._belief, self._prev_mu
         for i in range(n):
-            burn[i] = self._stream.samples_seen < self._params.s
-            t2[i], spe[i], di[i] = self._stream.step(X_w[i])
+            belief, mu, innovation = filter_step(aug, Sigma, belief, X_w[i])
+            t2[i] = mu @ mu
+            spe[i] = innovation @ innovation
+            di[i] = 0.0 if prev_mu is None else dynamics.mahalanobis(mu - prev_mu)
+            prev_mu = mu
+        self._belief, self._prev_mu = belief, prev_mu
+        self._rows_seen += n
         lim = self._limits
         flag_t2 = t2 > lim.t2
         flag_spe = spe > lim.spe
@@ -312,20 +284,9 @@ class MonitorSession:
         return MonitorReport(
             t2=t2, spe=spe, di=di,
             flag_t2=flag_t2, flag_spe=flag_spe, flag_di=flag_di,
-            verdict=verdict, burn_in=burn, start_index=start,
+            verdict=verdict, burn_in=np.arange(start, start + n) < self._params.s,
+            start_index=start,
         )
-
-
-def score_stream(
-    params: ModelParams,
-    whitening: WhiteningTransform,
-    dynamics: DynamicsCovariance,
-    limits: ControlLimits,
-    X_raw: np.ndarray,
-) -> MonitorReport:
-    """Score a raw measurement series in one pass (whitening applied
-    internally with the stored training transform)."""
-    return MonitorSession(params, whitening, dynamics, limits).score(X_raw)
 
 
 def calibrate(

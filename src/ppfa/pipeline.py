@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .monitoring import ControlLimits, DynamicsCovariance, MonitorReport, calibrate, score_stream
+from .monitoring import ControlLimits, DynamicsCovariance, MonitorReport, MonitorSession, calibrate
 from .preprocess import WhiteningTransform, apply_whitening, fit_whitening
 from .statespace import ModelParams
 from .training import EmConfig, TrainingTrace, fit
@@ -34,7 +34,7 @@ class TrainedModel:
     limits: ControlLimits
 
     def score(self, X_raw: np.ndarray) -> MonitorReport:
-        return score_stream(self.params, self.whitening, self.dynamics, self.limits, X_raw)
+        return MonitorSession(self.params, self.whitening, self.dynamics, self.limits).score(X_raw)
 
 
 def train_monitoring_model(

@@ -11,31 +11,13 @@ fewer parameters (smaller r*s, then smaller s).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, PpfaError
 from .pipeline import train_monitoring_model
 from .training import EmConfig
-
-
-def fdr(tp: int, fn: int) -> float:
-    """Fault detection rate TP / (TP + FN)."""
-    if tp < 0 or fn < 0:
-        raise ConfigError("counts must be nonnegative")
-    if tp + fn == 0:
-        raise ConfigError("no faulty samples: detection rate undefined")
-    return tp / (tp + fn)
-
-
-def far(fp: int, tn: int) -> float:
-    """False alarm rate FP / (FP + TN)."""
-    if fp < 0 or tn < 0:
-        raise ConfigError("counts must be nonnegative")
-    if fp + tn == 0:
-        raise ConfigError("no normal samples: false alarm rate undefined")
-    return fp / (fp + tn)
 
 
 @dataclass(frozen=True)
@@ -64,6 +46,8 @@ class SelectionGrid:
             raise ConfigError("candidates must be >= 1")
         if not self.magnitudes:
             raise ConfigError("need at least one injection magnitude")
+        if not np.all(np.isfinite(self.magnitudes)):
+            raise ConfigError(f"magnitudes must be finite, got {self.magnitudes}")
         if self.n_inject_channels < 1:
             raise ConfigError("n_inject_channels must be >= 1")
         if not 0.0 < self.onset_fraction < 1.0:
@@ -127,9 +111,10 @@ def select(
     """Grid-search (r, s) on deviation-injected hold-out data.
 
     The EmConfig supplies every training setting except (r, s), which are
-    swept. A candidate whose training fails is skipped with the reason
-    recorded; if every candidate fails, a ConvergenceError is raised.
-    Burn-in rows are excluded from the FDR/FAR counts.
+    swept. A candidate whose training or scoring fails is skipped with the
+    reason recorded; if every candidate fails, a ConvergenceError is raised.
+    FDR and FAR are the any-statistic alarm rates of the report on the rows
+    from the onset on and on the rows before it, burn-in rows excluded.
     """
     X_normal = np.asarray(X_normal, dtype=float)
     n_total = X_normal.shape[0]
@@ -155,17 +140,13 @@ def select(
     rows: list[ScoreboardRow] = []
     for r in grid.r_candidates:
         for s in grid.s_candidates:
-            cfg = EmConfig(
-                r=r, s=s,
-                max_iterations=em.max_iterations,
-                loglik_rel_tol=em.loglik_rel_tol,
-                ga=em.ga,
-                seed=em.seed,
-            )
+            cfg = replace(em, r=r, s=s)
             started = time.perf_counter()
             try:
                 model, trace = train_monitoring_model(X_train, cfg, alpha)
                 report = model.score(X_val_faulty)
+                fdr = report.alarm_rates(slice(onset, None))["any"]
+                far = report.alarm_rates(slice(0, onset))["any"]
             except PpfaError as exc:
                 rows.append(ScoreboardRow(
                     r=r, s=s, fdr=float("nan"), far=float("nan"), loglik=float("nan"),
@@ -173,17 +154,9 @@ def select(
                     skipped=f"{type(exc).__name__}: {exc}",
                 ))
                 continue
-            alarms = report.flag_t2 | report.flag_spe | report.flag_di
-            usable = ~report.burn_in
-            fault_mask = np.zeros(len(report), dtype=bool)
-            fault_mask[onset:] = True
-            tp = int((alarms & fault_mask & usable).sum())
-            fn = int((~alarms & fault_mask & usable).sum())
-            fp = int((alarms & ~fault_mask & usable).sum())
-            tn = int((~alarms & ~fault_mask & usable).sum())
             best_loglik = max([trace.init_loglik] + list(trace.logliks()))
             rows.append(ScoreboardRow(
-                r=r, s=s, fdr=fdr(tp, fn), far=far(fp, tn),
+                r=r, s=s, fdr=fdr, far=far,
                 loglik=float(best_loglik),
                 train_seconds=time.perf_counter() - started,
             ))

@@ -313,6 +313,8 @@ def random_stable_params(
     """
     if r > m:
         raise ConfigError(f"latent dimension r={r} exceeds channel count m={m}")
+    if not (np.all(np.isfinite(noise_range)) and noise_range[0] <= noise_range[1]):
+        raise ConfigError(f"noise_range must be finite with low <= high, got {tuple(noise_range)}")
     rng = np.random.default_rng(seed)
     B = np.empty((s, r))
     for i in range(r):

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from ppfa.cli import EXIT_CODES, main, read_csv
+from ppfa import EmConfig
+from ppfa.cli import EXIT_CODES, _Config, _em_config, main, read_csv
 
 TRAIN_CONFIG = """
 [em]
@@ -75,6 +76,25 @@ class TestSimulate:
         code = main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err.splitlines()[0] == "error: config"
+
+
+    @pytest.mark.parametrize("line", [
+        "noise_low = nan", "noise_high = inf", "noise_low = 0.5\nnoise_high = 0.1",
+    ])
+    def test_bad_noise_range_is_config_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text(SIM_CONFIG + line + "\n")
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_CODES["config"]
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == "error: config"
+        assert "noise_range" in err and "Traceback" not in err
+
+
+def test_em_config_defaults_come_from_em_config(tmp_path):
+    cfg = tmp_path / "em.ini"
+    cfg.write_text("[em]\nr = 2\ns = 3\n")
+    assert _em_config(_Config(cfg), None) == EmConfig(r=2, s=3)
 
 
 class TestTrain:
@@ -219,3 +239,14 @@ class TestSelect:
         assert "selected r=1 s=1" in capsys.readouterr().out
         lines = out.read_text().splitlines()
         assert len(lines) == 2
+
+    def test_non_finite_magnitude_is_config_error(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "sel.ini"
+        cfg.write_text(TRAIN_CONFIG + "\n[select]\nr_candidates = 1\ns_candidates = 1\n"
+                       "magnitudes = nan\n")
+        code = main(["select", "--data", str(workdir / "data.csv"),
+                     "--config", str(cfg), "--out", str(tmp_path / "scoreboard.csv")])
+        assert code == EXIT_CODES["config"]
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == "error: config"
+        assert "magnitudes" in err and "Traceback" not in err

@@ -14,19 +14,14 @@ from ppfa import (
     WhiteningTransform,
     augment,
     calibrate,
-    di_statistic,
     estimate_D,
     filter_step,
     fit_whitening,
     kde_limit,
     random_stable_params,
-    score_stream,
     simulate,
-    spe_statistic,
-    t2_statistic,
 )
 from ppfa.kalman import SmoothedMoments
-from ppfa.monitoring import StatisticsStream
 from ppfa.training import e_step
 
 
@@ -39,22 +34,45 @@ def static_moments(means, covs, lag1s, r, s):
     )
 
 
+def identity_session(params, dynamics, limits):
+    """Session on data that is already white (identity whitening)."""
+    return MonitorSession(params, WhiteningTransform.identity(params.m), dynamics, limits)
+
+
+def static_session(m, D=None):
+    """Session on a static model (B = 0, H = I, Sigma = 3) with limits that
+    never fire. The predicted state covariance is I and the innovation
+    covariance 4 I, whose Cholesky factor 2 I is exact, so every row's latent
+    estimate is exactly a quarter of the row and its innovation is the row
+    itself: T2 = |x/4|^2, SPE = |x|^2, and DI is the D-norm of a quarter of
+    the row-to-row difference."""
+    params = ModelParams.from_dynamics(B=np.zeros((1, m)), H=np.eye(m), Sigma=np.full(m, 3.0))
+    dynamics = DynamicsCovariance(D=np.eye(m) if D is None else D)
+    limits = ControlLimits(t2=1e9, spe=1e9, di=1e9, alpha=0.99)
+    return identity_session(params, dynamics, limits)
+
+
+def first_row(m, x):
+    return static_session(m).score(np.array([x], dtype=float))
+
+
 class TestPointStatistics:
     def test_t2_values(self):
-        assert t2_statistic(np.zeros(3)) == 0.0
-        assert t2_statistic(np.array([0.0, 1.0, 0.0])) == 1.0
-        assert t2_statistic(np.array([1.0, 2.0, 2.0])) == 9.0
+        assert first_row(3, [0.0, 0.0, 0.0]).t2[0] == 0.0
+        assert first_row(3, [0.0, 4.0, 0.0]).t2[0] == 1.0
+        assert first_row(3, [4.0, 8.0, 8.0]).t2[0] == 9.0
 
     def test_spe_values(self):
-        assert spe_statistic(np.zeros(2)) == 0.0
-        assert spe_statistic(np.array([3.0, 4.0])) == 25.0
+        assert first_row(2, [0.0, 0.0]).spe[0] == 0.0
+        assert first_row(2, [3.0, 4.0]).spe[0] == 25.0
 
     def test_di_values(self):
-        D = DynamicsCovariance(D=np.eye(2))
-        assert di_statistic(np.zeros(2), np.zeros(2), D) == 0.0
-        assert di_statistic(np.array([1.0, 0.0]), np.zeros(2), D) == pytest.approx(1.0)
-        D2 = DynamicsCovariance(D=2 * np.eye(2))
-        assert di_statistic(np.array([2.0, 0.0]), np.zeros(2), D2) == pytest.approx(2.0)
+        def second_di(x, D=None):
+            return static_session(2, D).score(np.array([[0.0, 0.0], x])).di[1]
+
+        assert second_di([0.0, 0.0]) == 0.0
+        assert second_di([4.0, 0.0]) == pytest.approx(1.0)
+        assert second_di([8.0, 0.0], D=2 * np.eye(2)) == pytest.approx(2.0)
 
     def test_di_invariant_under_recoordinatization(self):
         rng = np.random.default_rng(0)
@@ -63,9 +81,9 @@ class TestPointStatistics:
         D = D @ D.T + np.eye(d)
         delta = rng.normal(size=d)
         A = rng.normal(size=(d, d)) + 2 * np.eye(d)
-        base = di_statistic(delta, np.zeros(d), DynamicsCovariance(D=0.5 * (D + D.T)))
+        base = DynamicsCovariance(D=0.5 * (D + D.T)).mahalanobis(delta)
         mapped_D = A @ D @ A.T
-        mapped = di_statistic(A @ delta, np.zeros(d), DynamicsCovariance(D=0.5 * (mapped_D + mapped_D.T)))
+        mapped = DynamicsCovariance(D=0.5 * (mapped_D + mapped_D.T)).mahalanobis(A @ delta)
         assert mapped == pytest.approx(base, abs=1e-8)
 
 
@@ -154,9 +172,7 @@ class TestCalibrate:
 
     def test_self_calibration_exceedance(self, trained_setup):
         params, X_train, limits, dynamics = trained_setup
-        report = score_stream(
-            params, WhiteningTransform.identity(params.m), dynamics, limits, X_train
-        )
+        report = identity_session(params, dynamics, limits).score(X_train)
         rates = report.alarm_rates()
         for key in ("t2", "spe", "di"):
             assert rates[key] <= 0.02, (key, rates)
@@ -170,9 +186,7 @@ class TestCalibrate:
 class TestScoreStream:
     def test_replay_training_matches_confidence_level(self, trained_setup):
         params, X_train, limits, dynamics = trained_setup
-        report = score_stream(
-            params, WhiteningTransform.identity(params.m), dynamics, limits, X_train
-        )
+        report = identity_session(params, dynamics, limits).score(X_train)
         n = len(X_train)
         tol = 3 * np.sqrt(0.01 * 0.99 / n)
         rates = report.alarm_rates()
@@ -183,9 +197,10 @@ class TestScoreStream:
         params, _, limits, dynamics = trained_setup
         _, X_new = simulate(params, 400, seed=7)
         ident = WhiteningTransform.identity(params.m)
-        batch = score_stream(params, ident, dynamics, limits, X_new)
+        batch = MonitorSession(params, ident, dynamics, limits).score(X_new)
         session = MonitorSession(params, ident, dynamics, limits)
-        chunks = [session.score(X_new[:150]), session.score(X_new[150:151]), session.score(X_new[151:])]
+        chunks = [session.score(X_new[:150]), session.score(X_new[150:151]),
+                  session.score(X_new[151:])]
         merged = MonitorReport.concat(chunks)
         assert np.array_equal(batch.t2, merged.t2)
         assert np.array_equal(batch.spe, merged.spe)
@@ -201,7 +216,7 @@ class TestScoreStream:
         X_raw = X_new @ np.array([[2.0, 0.3, 0.0, 0.1], [0.0, 1.5, 0.4, 0.0],
                                   [0.2, 0.0, 0.7, 0.0], [0.0, 0.1, 0.0, 3.0]]) + 5.0
         whitening = fit_whitening(X_raw)
-        batch = score_stream(params, whitening, dynamics, limits, X_raw)
+        batch = MonitorSession(params, whitening, dynamics, limits).score(X_raw)
         session = MonitorSession(params, whitening, dynamics, limits)
         merged = MonitorReport.concat([session.score(X_raw[i:i + 1]) for i in range(len(X_raw))])
         for field in ("t2", "spe", "di", "flag_t2", "flag_spe", "flag_di", "burn_in"):
@@ -223,16 +238,14 @@ class TestScoreStream:
         )
         limits = ControlLimits(t2=1e-6, spe=1e-6, di=1e-6, alpha=0.99)
         dynamics = DynamicsCovariance(D=np.eye(2))
-        report = score_stream(
-            params, WhiteningTransform.identity(2), dynamics, limits, np.zeros((50, 2))
-        )
+        report = identity_session(params, dynamics, limits).score(np.zeros((50, 2)))
         assert np.all(report.t2 == 0.0)
         assert not report.flag_t2.any()
 
     def test_flags_are_pure_threshold_comparisons(self, trained_setup):
         params, _, limits, dynamics = trained_setup
         _, X_new = simulate(params, 300, seed=8)
-        report = score_stream(params, WhiteningTransform.identity(params.m), dynamics, limits, X_new)
+        report = identity_session(params, dynamics, limits).score(X_new)
         assert np.array_equal(report.flag_t2, report.t2 > limits.t2)
         assert np.array_equal(report.flag_spe, report.spe > limits.spe)
         assert np.array_equal(report.flag_di, report.di > limits.di)
@@ -243,30 +256,29 @@ class TestScoreStream:
         dynamics = DynamicsCovariance(D=np.eye(1))
         # thresholds chosen so each statistic can be forced independently
         high = ControlLimits(t2=1e9, spe=1e9, di=1e9, alpha=0.99)
-        report = score_stream(params, WhiteningTransform.identity(1), dynamics, high, np.ones((5, 1)))
+        report = identity_session(params, dynamics, high).score(np.ones((5, 1)))
         assert set(report.verdict) == {"normal"}
         low_spe = ControlLimits(t2=1e9, spe=1e-9, di=1e9, alpha=0.99)
-        report = score_stream(params, WhiteningTransform.identity(1), dynamics, low_spe, np.ones((5, 1)))
+        report = identity_session(params, dynamics, low_spe).score(np.ones((5, 1)))
         assert report.verdict[1] == "correlation-break"
         low_t2 = ControlLimits(t2=1e-9, spe=1e9, di=1e9, alpha=0.99)
-        report = score_stream(params, WhiteningTransform.identity(1), dynamics, low_t2, np.ones((5, 1)))
+        report = identity_session(params, dynamics, low_t2).score(np.ones((5, 1)))
         assert report.verdict[1] == "dynamic-or-shift"
         low_both = ControlLimits(t2=1e-9, spe=1e-9, di=1e9, alpha=0.99)
-        report = score_stream(params, WhiteningTransform.identity(1), dynamics, low_both, np.ones((5, 1)))
+        report = identity_session(params, dynamics, low_both).score(np.ones((5, 1)))
         assert report.verdict[1] == "both"
 
     def test_first_sample_di_is_zero_and_burn_in_marked(self, trained_setup):
         params, _, limits, dynamics = trained_setup
         _, X_new = simulate(params, 20, seed=9)
-        report = score_stream(params, WhiteningTransform.identity(params.m), dynamics, limits, X_new)
+        report = identity_session(params, dynamics, limits).score(X_new)
         assert report.di[0] == 0.0
         assert np.array_equal(report.burn_in, np.arange(20) < params.s)
 
     def test_dimension_mismatch_rejected(self, trained_setup):
         params, _, limits, dynamics = trained_setup
         with pytest.raises(ConfigError):
-            score_stream(params, WhiteningTransform.identity(params.m), dynamics, limits,
-                         np.zeros((10, params.m + 1)))
+            identity_session(params, dynamics, limits).score(np.zeros((10, params.m + 1)))
 
 
 class TestFilterStepOnline:
@@ -280,11 +292,12 @@ class TestFilterStepOnline:
 
     def test_first_step_conjugate(self):
         p = ModelParams.from_dynamics(B=np.zeros((1, 1)), H=np.ones((1, 1)), Sigma=np.ones(1))
-        stream = StatisticsStream(augment(p), p.Sigma, DynamicsCovariance(D=np.eye(1)))
-        t2, spe, di = stream.step(np.array([1.0]))
-        assert t2 == pytest.approx(0.25)  # estimate x/2
-        assert spe == pytest.approx(1.0)  # innovation is x itself
-        assert di == 0.0
+        limits = ControlLimits(t2=1e9, spe=1e9, di=1e9, alpha=0.99)
+        session = identity_session(p, DynamicsCovariance(D=np.eye(1)), limits)
+        report = session.score(np.array([[1.0]]))
+        assert report.t2[0] == pytest.approx(0.25)  # estimate x/2
+        assert report.spe[0] == pytest.approx(1.0)  # innovation is x itself
+        assert report.di[0] == 0.0
 
 
 def test_mean_spe_under_pure_noise_model():
@@ -294,16 +307,14 @@ def test_mean_spe_under_pure_noise_model():
     rng = np.random.default_rng(11)
     X = rng.standard_normal((20_000, m))
     limits = ControlLimits(t2=1e9, spe=1e9, di=1e9, alpha=0.99)
-    report = score_stream(
-        params, WhiteningTransform.identity(m), DynamicsCovariance(D=np.eye(1)), limits, X
-    )
+    report = identity_session(params, DynamicsCovariance(D=np.eye(1)), limits).score(X)
     assert report.spe.mean() == pytest.approx(m, rel=0.05)
 
 
 def test_report_csv_round_trip(tmp_path, trained_setup):
     params, _, limits, dynamics = trained_setup
     _, X_new = simulate(params, 50, seed=12)
-    report = score_stream(params, WhiteningTransform.identity(params.m), dynamics, limits, X_new)
+    report = identity_session(params, dynamics, limits).score(X_new)
     path = tmp_path / "report.csv"
     report.write_csv(path)
     lines = path.read_text().splitlines()

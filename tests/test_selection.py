@@ -6,31 +6,57 @@ from ppfa import (
     EmConfig,
     GaConfig,
     ModelParams,
+    MonitorReport,
     SelectionGrid,
-    far,
-    fdr,
     inject_step_fault,
     select,
     simulate,
 )
 
 
+def alarm_report(alarms, burn_in=0):
+    """Report whose any-statistic alarm is raised exactly on the given rows,
+    with the first ``burn_in`` rows marked as burn-in."""
+    alarms = np.asarray(alarms, dtype=bool)
+    n = alarms.shape[0]
+    quiet = np.zeros(n, dtype=bool)
+    return MonitorReport(
+        t2=np.zeros(n), spe=np.zeros(n), di=np.zeros(n),
+        flag_t2=alarms & (np.arange(n) % 2 == 0), flag_spe=alarms & (np.arange(n) % 2 == 1),
+        flag_di=quiet, verdict=["normal"] * n, burn_in=np.arange(n) < burn_in,
+    )
+
+
+def fault_rate(normal_alarms, fault_alarms, burn_in=0):
+    """FDR as select reads it: the alarm rate from the fault onset on."""
+    report = alarm_report(list(normal_alarms) + list(fault_alarms), burn_in)
+    return report.alarm_rates(slice(len(normal_alarms), None))["any"]
+
+
+def false_alarm_rate(normal_alarms, fault_alarms, burn_in=0):
+    """FAR as select reads it: the alarm rate before the fault onset."""
+    report = alarm_report(list(normal_alarms) + list(fault_alarms), burn_in)
+    return report.alarm_rates(slice(0, len(normal_alarms)))["any"]
+
+
 class TestRates:
     def test_fdr_values(self):
-        assert fdr(9, 1) == pytest.approx(0.9)
-        assert fdr(5, 0) == 1.0
-        assert fdr(0, 5) == 0.0
+        assert fault_rate([0, 1], [1] * 9 + [0]) == 9 / 10
+        assert fault_rate([1], [1] * 5) == 1.0
+        assert fault_rate([1], [0] * 5) == 0.0
 
     def test_far_values(self):
-        assert far(2, 98) == pytest.approx(0.02)
-        assert far(0, 10) == 0.0
-        assert far(3, 0) == 1.0
+        assert false_alarm_rate([1] * 2 + [0] * 98, [1]) == 2 / 100
+        assert false_alarm_rate([0] * 10, [1]) == 0.0
+        assert false_alarm_rate([1] * 3, [0]) == 1.0
+        # burn-in rows count in neither rate
+        assert false_alarm_rate([1, 1, 0, 0], [1], burn_in=2) == 0.0
 
     def test_empty_denominators_error(self):
         with pytest.raises(ConfigError):
-            fdr(0, 0)
+            fault_rate([0, 1], [])
         with pytest.raises(ConfigError):
-            far(0, 0)
+            false_alarm_rate([1, 0], [1], burn_in=2)
 
 
 class TestInjectStepFault:
@@ -140,3 +166,8 @@ class TestGridValidation:
     def test_bad_split(self):
         with pytest.raises(ConfigError):
             SelectionGrid(r_candidates=(1,), s_candidates=(1,), split_fraction=1.2)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_magnitude(self, bad):
+        with pytest.raises(ConfigError, match="magnitudes"):
+            SelectionGrid(r_candidates=(1,), s_candidates=(1,), magnitudes=(1.0, bad))
